@@ -249,11 +249,7 @@ func main() {
 	var tracer *trace.Tracer // nil likewise keeps tracing a no-op
 	if *traceOn {
 		tracer = trace.NewTracer(trace.Config{})
-		if fl != nil {
-			fl.Trace(tracer)
-		} else {
-			cl.Trace(tracer)
-		}
+		fe.SetTracer(tracer)
 		if *stagesOn {
 			tracer.Collector().AttachStages(trace.NewStageAggregator())
 		}

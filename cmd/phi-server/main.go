@@ -123,7 +123,6 @@ func main() {
 		},
 	)
 	backend.SetMetrics(phi.NewServerMetrics(reg, nil))
-	backend.SetTracer(tracer)
 	backend.SetHealth(monitor)
 	// Context-quality layer: freshness, coverage, and predictive-accuracy
 	// accounting on the lookup/report path, served at /debug/context.

@@ -27,7 +27,6 @@ import (
 	"repro/internal/phi"
 	"repro/internal/quality"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config assembles a cluster.
@@ -78,16 +77,6 @@ func New(cfg Config) *Cluster {
 		Ring:     ring,
 		Shards:   shards,
 		Frontend: NewFrontend(ring, conns, cfg.Frontend),
-	}
-}
-
-// Trace attaches one tracer to the frontend and every shard, so a
-// request's routing span and its per-shard handling spans land in the
-// same collector. Call before the cluster starts serving.
-func (c *Cluster) Trace(t *trace.Tracer) {
-	c.Frontend.SetTracer(t)
-	for _, s := range c.Shards {
-		s.SetTracer(t)
 	}
 }
 

@@ -13,17 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TracedConn is the optional span-propagating facet of a shard Conn.
-// In-process *Shard implements it (spans go straight to the shared
-// tracer); so does phiwire.Client, which forwards the span context on
-// the wire to a remote shard process.
-type TracedConn interface {
-	LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error)
-	ReportStartSpan(sc trace.SpanContext, path phi.PathKey) error
-	ReportEndSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error
-	ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error
-}
-
 // Frontend span names and decision notes. The notes mark the routing
 // decisions worth keeping a trace for: the tail-based collector retains
 // every trace that failed over, degraded, or hit an open breaker.
@@ -137,9 +126,6 @@ type FrontendStats struct {
 type Frontend struct {
 	ring   *Ring
 	shards []Conn
-	// tconns[i] is shards[i]'s traced facet, resolved once at
-	// construction (nil if unimplemented).
-	tconns []TracedConn
 	cfg    FrontendConfig
 	health []shardHealth
 	now    func() time.Time // wall clock, swappable in tests
@@ -208,14 +194,9 @@ func NewFrontend(ring *Ring, shards []Conn, cfg FrontendConfig) *Frontend {
 	if ring.Shards() != len(shards) {
 		panic("cluster: ring size does not match shard count")
 	}
-	tconns := make([]TracedConn, len(shards))
-	for i, s := range shards {
-		tconns[i], _ = s.(TracedConn)
-	}
 	return &Frontend{
 		ring:   ring,
 		shards: shards,
-		tconns: tconns,
 		cfg:    cfg.withDefaults(),
 		health: make([]shardHealth, len(shards)),
 		now:    time.Now,
@@ -303,36 +284,45 @@ func (f *Frontend) ResetShard(i int) {
 }
 
 // call runs op against shard i under the configured timeout, updating
-// the shard's breaker and recording a shard.call span under parent. A
-// shard in cooldown is skipped outright (noted as breaker-open on the
-// span). op receives the shard index and the span context to forward to
-// the shard connection.
-func (f *Frontend) call(i int, parent trace.SpanContext, op func(i int, sc trace.SpanContext) error) error {
+// the shard's breaker and recording a shard.call span under parent. That
+// span is the innermost one a traced request gets: the trace context
+// stops here, and the shard's own phi.Server time is reported by its
+// phi_server_* histograms. A shard in cooldown is skipped outright
+// (noted as breaker-open on the span).
+func (f *Frontend) call(i int, parent trace.SpanContext, op func(c Conn) (phi.Context, error)) (phi.Context, error) {
 	csp := f.tracer.Start(parent, opShardCall)
 	csp.SetShard(i)
 	if f.skippable(i) {
 		csp.Note(noteBreakerOpen)
 		csp.End(ErrShardDown)
 		f.hmon.RecordRouting(healthmon.RouteBreakerOpen)
-		return ErrShardDown
-	}
-	sc := csp.Context()
-	if !sc.Valid() {
-		sc = parent // no local tracer: still forward the caller's trace
+		return phi.Context{}, ErrShardDown
 	}
 	m := f.metrics
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
+	var ctx phi.Context
 	var err error
 	if f.cfg.Timeout <= 0 {
-		err = op(i, sc)
+		ctx, err = op(f.shards[i])
 	} else {
-		done := make(chan error, 1)
-		go func() { done <- op(i, sc) }()
+		// A timed-out call keeps running, so its goroutine hands the
+		// result back over done and never writes ctx or err itself.
+		type result struct {
+			ctx phi.Context
+			err error
+		}
+		done := make(chan result, 1)
+		go func(c Conn) {
+			var r result
+			r.ctx, r.err = op(c)
+			done <- r
+		}(f.shards[i])
 		select {
-		case err = <-done:
+		case r := <-done:
+			ctx, err = r.ctx, r.err
 		case <-time.After(f.cfg.Timeout):
 			err = ErrShardTimeout
 		}
@@ -346,46 +336,7 @@ func (f *Frontend) call(i int, parent trace.SpanContext, op func(i int, sc trace
 		}
 	}
 	csp.End(err)
-	return err
-}
-
-// connLookup and friends dispatch one shard operation, through the
-// traced facet when the shard supports it and a span context exists.
-func (f *Frontend) connLookup(i int, sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.LookupSpan(sc, path)
-	}
-	return f.shards[i].Lookup(path)
-}
-
-func (f *Frontend) connReportStart(i int, sc trace.SpanContext, path phi.PathKey) error {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.ReportStartSpan(sc, path)
-	}
-	return f.shards[i].ReportStart(path)
-}
-
-func (f *Frontend) connReportEnd(i int, sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.ReportEndSpan(sc, path, r)
-	}
-	return f.shards[i].ReportEnd(path, r)
-}
-
-func (f *Frontend) connReportProgress(i int, sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	if tc := f.tconns[i]; tc != nil && sc.Valid() {
-		return tc.ReportProgressSpan(sc, path, r)
-	}
-	return f.shards[i].ReportProgress(path, r)
-}
-
-// spanOrParent picks the context child calls should hang off: the
-// frontend's own span when tracing is on, the caller's otherwise.
-func spanOrParent(sp trace.Span, parent trace.SpanContext) trace.SpanContext {
-	if sc := sp.Context(); sc.Valid() {
-		return sc
-	}
-	return parent
+	return ctx, err
 }
 
 // Lookup implements phi.ContextSource: owner first, one retry on the
@@ -407,15 +358,10 @@ func (f *Frontend) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.C
 	f.hmon.RecordLookup(string(path))
 	f.hmon.RecordTrace(string(path), uint64(parent.Trace))
 	sp := f.tracer.Start(parent, opFrontLookup)
-	sc := spanOrParent(sp, parent)
+	sc := sp.Context()
 	owner, fb := f.ring.OwnerAndFallback(path)
-	var ctx phi.Context
-	get := func(i int, csc trace.SpanContext) error {
-		var err error
-		ctx, err = f.connLookup(i, csc, path)
-		return err
-	}
-	if err := f.call(owner, sc, get); err == nil {
+	get := func(c Conn) (phi.Context, error) { return c.Lookup(path) }
+	if ctx, err := f.call(owner, sc, get); err == nil {
 		sp.End(nil)
 		return ctx, nil
 	}
@@ -426,7 +372,7 @@ func (f *Frontend) LookupSpan(parent trace.SpanContext, path phi.PathKey) (phi.C
 		}
 		f.hmon.RecordRouting(healthmon.RouteRetry)
 		sp.Note(noteRetry)
-		if err := f.call(fb, sc, get); err == nil {
+		if ctx, err := f.call(fb, sc, get); err == nil {
 			f.failovers.Add(1)
 			if m != nil {
 				m.Failovers.Inc()
@@ -455,8 +401,8 @@ func (f *Frontend) ReportStart(path phi.PathKey) error {
 
 // ReportStartSpan is ReportStart joined to a caller's trace.
 func (f *Frontend) ReportStartSpan(parent trace.SpanContext, path phi.PathKey) error {
-	return f.deliverReport(parent, opFrontStart, path, func(i int, sc trace.SpanContext) error {
-		return f.connReportStart(i, sc, path)
+	return f.deliverReport(parent, opFrontStart, path, func(c Conn) (phi.Context, error) {
+		return phi.Context{}, c.ReportStart(path)
 	})
 }
 
@@ -467,8 +413,8 @@ func (f *Frontend) ReportEnd(path phi.PathKey, r phi.Report) error {
 
 // ReportEndSpan is ReportEnd joined to a caller's trace.
 func (f *Frontend) ReportEndSpan(parent trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return f.deliverReport(parent, opFrontEnd, path, func(i int, sc trace.SpanContext) error {
-		return f.connReportEnd(i, sc, path, r)
+	return f.deliverReport(parent, opFrontEnd, path, func(c Conn) (phi.Context, error) {
+		return phi.Context{}, c.ReportEnd(path, r)
 	})
 }
 
@@ -479,8 +425,8 @@ func (f *Frontend) ReportProgress(path phi.PathKey, r phi.Report) error {
 
 // ReportProgressSpan is ReportProgress joined to a caller's trace.
 func (f *Frontend) ReportProgressSpan(parent trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return f.deliverReport(parent, opFrontProgress, path, func(i int, sc trace.SpanContext) error {
-		return f.connReportProgress(i, sc, path, r)
+	return f.deliverReport(parent, opFrontProgress, path, func(c Conn) (phi.Context, error) {
+		return phi.Context{}, c.ReportProgress(path, r)
 	})
 }
 
@@ -490,7 +436,7 @@ func (f *Frontend) ReportProgressSpan(parent trace.SpanContext, path phi.PathKey
 // feed the breaker but never fail the report. Routing decisions are
 // recorded on a span under parent (mirrors are deliberately not noted —
 // replication is routine, not interesting).
-func (f *Frontend) deliverReport(parent trace.SpanContext, name trace.Ref, path phi.PathKey, op func(i int, sc trace.SpanContext) error) error {
+func (f *Frontend) deliverReport(parent trace.SpanContext, name trace.Ref, path phi.PathKey, op func(c Conn) (phi.Context, error)) error {
 	m := f.metrics
 	f.reports.Add(1)
 	if m != nil {
@@ -499,13 +445,13 @@ func (f *Frontend) deliverReport(parent trace.SpanContext, name trace.Ref, path 
 	f.hmon.RecordReport(string(path))
 	f.hmon.RecordTrace(string(path), uint64(parent.Trace))
 	sp := f.tracer.Start(parent, name)
-	sc := spanOrParent(sp, parent)
+	sc := sp.Context()
 	owner, fb := f.ring.OwnerAndFallback(path)
-	err := f.call(owner, sc, op)
+	_, err := f.call(owner, sc, op)
 	switch {
 	case err == nil:
 		if f.cfg.ReplicateReports && fb >= 0 {
-			if f.call(fb, sc, op) == nil {
+			if _, err := f.call(fb, sc, op); err == nil {
 				f.mirrored.Add(1)
 				if m != nil {
 					m.Mirrored.Inc()
@@ -521,7 +467,7 @@ func (f *Frontend) deliverReport(parent trace.SpanContext, name trace.Ref, path 
 		}
 		f.hmon.RecordRouting(healthmon.RouteRetry)
 		sp.Note(noteRetry)
-		if f.call(fb, sc, op) == nil {
+		if _, err := f.call(fb, sc, op); err == nil {
 			f.failovers.Add(1)
 			if m != nil {
 				m.Failovers.Inc()

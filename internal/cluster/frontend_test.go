@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -212,6 +213,19 @@ func TestFrontendTimeout(t *testing.T) {
 	fakes[owner].mu.Lock()
 	fakes[owner].hang = 200 * time.Millisecond
 	fakes[owner].mu.Unlock()
+
+	// The timed-out owner call keeps running after Lookup returns. Wait
+	// for its goroutine to finish before the test ends, so the race
+	// detector sees everything it writes.
+	goroutines := runtime.NumGoroutine()
+	defer func() {
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+			if time.Now().After(deadline) {
+				t.Fatal("hung owner call never returned")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
 
 	start := time.Now()
 	ctx, err := f.Lookup(path)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/phi"
 	"repro/internal/quality"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ErrShardDown is returned by every operation against a crashed shard.
@@ -18,7 +17,9 @@ var ErrShardDown = errors.New("cluster: shard down")
 // Conn is what the frontend needs from one shard: the full station
 // interface plus mid-connection progress reports. *Shard implements it
 // in-process; a wire-backed client implementing the same methods can
-// stand in for a remote shard process.
+// stand in for a remote shard process. The frontend calls only these
+// plain methods: a request's trace ends at its shard.call span, and a
+// shard's own time is reported by its phi_server_* histograms.
 type Conn interface {
 	Lookup(path phi.PathKey) (phi.Context, error)
 	ReportStart(path phi.PathKey) error
@@ -47,8 +48,6 @@ type Shard struct {
 	srvMetrics *phi.ServerMetrics
 	// snapMetrics times the snapshot cycle (shared across shards).
 	snapMetrics *SnapshotMetrics
-	// tracer is likewise re-applied across crash/restore replacements.
-	tracer *trace.Tracer
 	// quality is likewise re-applied, so context-quality measurement
 	// survives crash/restore cycles (the tracker is process-wide and
 	// outlives any single server instance).
@@ -136,16 +135,6 @@ func (s *Shard) SetSnapshotMetrics(m *SnapshotMetrics) {
 	s.snapMetrics = m
 }
 
-// SetTracer attaches the span tracer to the backing server, now and
-// across every future crash/restore replacement. Call before the shard
-// starts serving.
-func (s *Shard) SetTracer(t *trace.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = t
-	s.srv.SetTracer(t)
-}
-
 // SetQuality attaches (or detaches, with nil) the context-quality
 // tracker to the backing server, now and across every future
 // crash/restore replacement. Call before the shard starts serving.
@@ -166,42 +155,6 @@ func (s *Shard) Freshness() []quality.PathFreshness {
 	return srv.Freshness()
 }
 
-// LookupSpan implements TracedConn.
-func (s *Shard) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
-	srv := s.server()
-	if srv == nil {
-		return phi.Context{}, ErrShardDown
-	}
-	return srv.LookupSpan(sc, path)
-}
-
-// ReportStartSpan implements TracedConn.
-func (s *Shard) ReportStartSpan(sc trace.SpanContext, path phi.PathKey) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportStartSpan(sc, path)
-}
-
-// ReportEndSpan implements TracedConn.
-func (s *Shard) ReportEndSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportEndSpan(sc, path, r)
-}
-
-// ReportProgressSpan implements TracedConn.
-func (s *Shard) ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	srv := s.server()
-	if srv == nil {
-		return ErrShardDown
-	}
-	return srv.ReportProgressSpan(sc, path, r)
-}
-
 // Crash simulates process loss: the shard goes down and all in-memory
 // path state is discarded. Only a Restart (empty) or RestoreSnapshot
 // (rehydrated) brings it back.
@@ -211,7 +164,6 @@ func (s *Shard) Crash() {
 	s.down = true
 	s.srv = phi.NewServer(s.clock, s.cfg)
 	s.srv.SetMetrics(s.srvMetrics)
-	s.srv.SetTracer(s.tracer)
 	s.srv.SetQuality(s.quality)
 }
 

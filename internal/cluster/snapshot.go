@@ -57,7 +57,6 @@ func (s *Shard) RestoreSnapshot(snap *Snapshot) error {
 	defer s.mu.Unlock()
 	s.srv = phi.NewServer(s.clock, s.cfg)
 	s.srv.SetMetrics(s.srvMetrics)
-	s.srv.SetTracer(s.tracer)
 	s.srv.SetQuality(s.quality)
 	s.srv.ImportState(snap.Paths)
 	s.down = false

@@ -26,7 +26,7 @@ func TestEndToEndFailoverTrace(t *testing.T) {
 		Frontend: FrontendConfig{ReplicateReports: true, DownAfter: 1000},
 	})
 	tracer := trace.NewTracer(trace.Config{SampleEvery: 1})
-	cl.Trace(tracer)
+	cl.Frontend.SetTracer(tracer)
 
 	srv := phiwire.NewServer(cl.Frontend, nil)
 	srv.SetTracer(tracer)

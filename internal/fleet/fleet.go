@@ -25,7 +25,6 @@ import (
 	"repro/internal/quality"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	tlog "repro/internal/trace/log"
 )
 
@@ -125,17 +124,6 @@ func (f *Fleet) Instrument(reg *telemetry.Registry) {
 		b.SetServerMetrics(phi.NewServerMetrics(reg,
 			telemetry.Labels{"shard": strconv.Itoa(i), "replica": "b"}))
 		b.SetSnapshotMetrics(snap)
-	}
-}
-
-// Trace attaches one tracer to the frontend and every replica, so a
-// request's routing span and its shard handling span land in the same
-// collector whichever replica answered.
-func (f *Fleet) Trace(t *trace.Tracer) {
-	f.Frontend.SetTracer(t)
-	for _, m := range f.Members {
-		m.Primary().SetTracer(t)
-		m.Backup().SetTracer(t)
 	}
 }
 

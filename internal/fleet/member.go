@@ -11,7 +11,6 @@ import (
 	"repro/internal/phi"
 	"repro/internal/quality"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Errors surfaced by member operations (controller actions report them
@@ -51,9 +50,9 @@ const DefaultReplayBuffer = 8192
 
 // Member is one replicated slot of the fleet: a primary shard serving
 // the slot's keyspace and a live backup shadowing it. It implements
-// cluster.Conn (and the traced facet), so the frontend routes to it
-// exactly as it would to a bare shard — the replication is invisible to
-// the routing layer until it saves a request.
+// cluster.Conn, so the frontend routes to it exactly as it would to a
+// bare shard — the replication is invisible to the routing layer until
+// it saves a request.
 //
 // Replication protocol:
 //
@@ -182,25 +181,6 @@ func (m *Member) Lookup(path phi.PathKey) (phi.Context, error) {
 	return ctx, err
 }
 
-// LookupSpan implements cluster.TracedConn with the same failover.
-func (m *Member) LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error) {
-	p, b, live := m.replicas()
-	ctx, err := p.LookupSpan(sc, path)
-	if err == nil {
-		return ctx, nil
-	}
-	if errors.Is(err, cluster.ErrShardDown) && live {
-		if bctx, berr := b.LookupSpan(sc, path); berr == nil {
-			m.backupServed.Add(1)
-			if mt := m.metrics; mt != nil {
-				mt.BackupServed.Inc()
-			}
-			return bctx, nil
-		}
-	}
-	return ctx, err
-}
-
 // applyReport dispatches one report operation to a shard.
 func applyReport(s *cluster.Shard, kind reportKind, path phi.PathKey, rep phi.Report) error {
 	switch kind {
@@ -213,35 +193,16 @@ func applyReport(s *cluster.Shard, kind reportKind, path phi.PathKey, rep phi.Re
 	}
 }
 
-// applyReportSpan is applyReport through the traced facet.
-func applyReportSpan(s *cluster.Shard, sc trace.SpanContext, kind reportKind, path phi.PathKey, rep phi.Report) error {
-	switch kind {
-	case reportStart:
-		return s.ReportStartSpan(sc, path)
-	case reportEnd:
-		return s.ReportEndSpan(sc, path, rep)
-	default:
-		return s.ReportProgressSpan(sc, path, rep)
-	}
-}
-
 // deliver routes one report: primary first (mirroring to the backup),
 // live backup if the primary is down. The whole operation holds m.mu so
 // the mirror stream reaching the backup is the exact sequence the
 // primary applied — order is what makes the replicas equivalent.
-func (m *Member) deliver(sc trace.SpanContext, kind reportKind, path phi.PathKey, rep phi.Report) error {
+func (m *Member) deliver(kind reportKind, path phi.PathKey, rep phi.Report) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
 
-	apply := func(s *cluster.Shard) error {
-		if sc.Valid() {
-			return applyReportSpan(s, sc, kind, path, rep)
-		}
-		return applyReport(s, kind, path, rep)
-	}
-
-	if err := apply(m.primary); err != nil {
+	if err := applyReport(m.primary, kind, path, rep); err != nil {
 		if !errors.Is(err, cluster.ErrShardDown) {
 			return err
 		}
@@ -250,7 +211,7 @@ func (m *Member) deliver(sc trace.SpanContext, kind reportKind, path phi.PathKey
 		if !m.backupLive {
 			return err
 		}
-		if berr := apply(m.backup); berr != nil {
+		if berr := applyReport(m.backup, kind, path, rep); berr != nil {
 			return err // report the primary's error; the backup just died too
 		}
 		m.backupServed.Add(1)
@@ -264,7 +225,7 @@ func (m *Member) deliver(sc trace.SpanContext, kind reportKind, path phi.PathKey
 	// starts) but never fail the report — replication is best-effort
 	// between syncs, exactly like the frontend's report mirroring.
 	if m.backupLive {
-		if merr := apply(m.backup); merr != nil {
+		if merr := applyReport(m.backup, kind, path, rep); merr != nil {
 			m.mirrorErrs.Add(1)
 			m.backupLive = false
 			if mt := m.metrics; mt != nil {
@@ -301,32 +262,17 @@ func (m *Member) buffer(kind reportKind, path phi.PathKey, rep phi.Report) {
 
 // ReportStart implements cluster.Conn.
 func (m *Member) ReportStart(path phi.PathKey) error {
-	return m.deliver(trace.SpanContext{}, reportStart, path, phi.Report{})
+	return m.deliver(reportStart, path, phi.Report{})
 }
 
 // ReportEnd implements cluster.Conn.
 func (m *Member) ReportEnd(path phi.PathKey, r phi.Report) error {
-	return m.deliver(trace.SpanContext{}, reportEnd, path, r)
+	return m.deliver(reportEnd, path, r)
 }
 
 // ReportProgress implements cluster.Conn.
 func (m *Member) ReportProgress(path phi.PathKey, r phi.Report) error {
-	return m.deliver(trace.SpanContext{}, reportProgress, path, r)
-}
-
-// ReportStartSpan implements cluster.TracedConn.
-func (m *Member) ReportStartSpan(sc trace.SpanContext, path phi.PathKey) error {
-	return m.deliver(sc, reportStart, path, phi.Report{})
-}
-
-// ReportEndSpan implements cluster.TracedConn.
-func (m *Member) ReportEndSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return m.deliver(sc, reportEnd, path, r)
-}
-
-// ReportProgressSpan implements cluster.TracedConn.
-func (m *Member) ReportProgressSpan(sc trace.SpanContext, path phi.PathKey, r phi.Report) error {
-	return m.deliver(sc, reportProgress, path, r)
+	return m.deliver(reportProgress, path, r)
 }
 
 // RegisterPath declares a path capacity on both replicas, so a promoted

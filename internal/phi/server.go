@@ -9,7 +9,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/quality"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ServerConfig tunes the context server's estimators.
@@ -90,10 +89,6 @@ type Server struct {
 	// the hot path then pays exactly one branch). Set before serving.
 	metrics *ServerMetrics
 
-	// tracer records per-operation spans (nil = untraced; same one-branch
-	// discipline as metrics). Set before serving.
-	tracer *trace.Tracer
-
 	// health feeds the live anomaly monitor (nil = unmonitored; its
 	// Record methods are nil-safe, so the hot path pays one branch).
 	// Set before serving.
@@ -101,9 +96,10 @@ type Server struct {
 
 	// quality feeds the context-quality observatory (nil = unmeasured;
 	// same one-branch discipline — the tracker's methods are nil-safe
-	// too, so this hook costs nothing when quality is off). Set before
-	// serving.
-	quality *quality.Tracker
+	// too, so this hook costs nothing when quality is off). Atomic
+	// because a fleet promotion re-targets it on a replica that may be
+	// serving lookups at that moment.
+	quality atomic.Pointer[quality.Tracker]
 
 	// evicted counts idle paths removed by the MaxPaths bound. Atomic so
 	// tests and Stats readers never take s.mu.
@@ -115,9 +111,9 @@ type Server struct {
 func (s *Server) SetHealth(m *health.Monitor) { s.health = m }
 
 // SetQuality attaches (or detaches, with nil) the context-quality
-// tracker. Call before serving. The tracker is typically shared by
-// every server in the process, so quality aggregates across shards.
-func (s *Server) SetQuality(q *quality.Tracker) { s.quality = q }
+// tracker; safe to call while serving. The tracker is typically shared
+// by every server in the process, so quality aggregates across shards.
+func (s *Server) SetQuality(q *quality.Tracker) { s.quality.Store(q) }
 
 type timedReport struct {
 	at    sim.Time
@@ -210,7 +206,7 @@ func (s *Server) evictIdleLocked() {
 	if excess > len(cands) {
 		excess = len(cands)
 	}
-	q := s.quality
+	q := s.quality.Load()
 	for _, c := range cands[:excess] {
 		delete(s.paths, c.key)
 		q.ForgetPath(string(c.key))
@@ -233,7 +229,7 @@ func (s *Server) Lookup(path PathKey) (Context, error) {
 	if m != nil {
 		start = time.Now()
 	}
-	q := s.quality
+	q := s.quality.Load()
 	s.mu.Lock()
 	s.lookups.Add(1)
 	now := s.clock()
@@ -364,7 +360,7 @@ func (s *Server) report(path PathKey, r Report, end bool) error {
 		s.passiveReports.Add(1)
 		weight = s.cfg.PassiveWeight
 	}
-	qt := s.quality
+	qt := s.quality.Load()
 	s.mu.Lock()
 	s.reports.Add(1)
 	now := s.clock()

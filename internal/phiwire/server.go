@@ -27,9 +27,10 @@ type Backend interface {
 
 // TracedBackend is the optional span-propagating facet of a Backend.
 // When the backend implements it and the request carries a trace
-// context, the server calls these variants so routing and shard spans
-// join the request's trace; otherwise it falls back to the plain
-// methods. Both phi.Server and cluster.Frontend implement it.
+// context, the server calls these variants so routing and shard-call
+// spans join the request's trace; otherwise it falls back to the plain
+// methods. cluster.Frontend implements it; a monolithic phi.Server does
+// not, and reports its own time through phi_server_* histograms.
 type TracedBackend interface {
 	LookupSpan(sc trace.SpanContext, path phi.PathKey) (phi.Context, error)
 	ReportStartSpan(sc trace.SpanContext, path phi.PathKey) error
